@@ -98,7 +98,7 @@ pub fn skewed_records(n: usize) -> Vec<Record> {
     let mut rng = 0x9e37_79b9_7f4a_7c15u64;
     (0..n)
         .map(|i| {
-            let key = if xorshift(&mut rng) % 2 == 0 {
+            let key = if xorshift(&mut rng).is_multiple_of(2) {
                 HOT_KEY
             } else {
                 let a = xorshift(&mut rng) % 1024;
@@ -162,7 +162,7 @@ pub fn run_ablation(records: &[Record], adaptive: bool) -> AblationRun {
         .collect("/db/out")
         .expect("collect")
         .into_iter()
-        .map(|d| d.batch.flatten().iter().cloned().collect())
+        .map(|d| d.batch.flatten())
         .collect();
     AblationRun { report, partitions }
 }
@@ -262,7 +262,13 @@ pub fn run(scale: &Scale) -> Table {
     let rs = rows(scale);
     let mut t = Table::new(
         "Adaptive planner ablation: --adaptive vs literal knobs",
-        &["input", "sort reducers", "max load / fair", "shuffled bytes", "output"],
+        &[
+            "input",
+            "sort reducers",
+            "max load / fair",
+            "shuffled bytes",
+            "output",
+        ],
     );
     for r in &rs {
         assert!(

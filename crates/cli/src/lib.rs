@@ -15,7 +15,6 @@
 //! The library half (this module) is fully testable without spawning the
 //! binary; `main.rs` is a thin argument-parsing shell around [`run`].
 
-use papar_config::input::InputFormat;
 use papar_config::{InputConfig, WorkflowConfig};
 use papar_core::exec::{ExecOptions, WorkflowRunner};
 use papar_core::plan::Planner;
@@ -413,36 +412,11 @@ pub fn run(spec: &RunSpec) -> Result<RunSummary, CliError> {
         }
     }
 
-    // Write each output partition in the input's on-disk format.
-    std::fs::create_dir_all(&spec.out_dir)
-        .map_err(|e| fail(format!("cannot create {}: {e}", spec.out_dir.display())))?;
     let partitions = cluster
-        .collect(&runner.plan().output_path)
+        .take(&runner.plan().output_path)
         .map_err(|e| fail(e.to_string()))?;
-    let mut files = Vec::with_capacity(partitions.len());
-    for (i, part) in partitions.iter().enumerate() {
-        let records = part.batch.clone().flatten();
-        let path = spec.out_dir.join(match input_cfg.format {
-            InputFormat::Binary => format!("partition_{i:04}.bin"),
-            InputFormat::Text => format!("partition_{i:04}.txt"),
-        });
-        match input_cfg.format {
-            InputFormat::Binary => {
-                let bytes =
-                    papar_record::codec::binary::write(&input_cfg, &part.schema, &records, None)
-                        .map_err(|e| fail(e.to_string()))?;
-                std::fs::write(&path, bytes)
-                    .map_err(|e| fail(format!("cannot write {}: {e}", path.display())))?;
-            }
-            InputFormat::Text => {
-                let text = papar_record::codec::text::write(&input_cfg, &part.schema, &records)
-                    .map_err(|e| fail(e.to_string()))?;
-                std::fs::write(&path, text)
-                    .map_err(|e| fail(format!("cannot write {}: {e}", path.display())))?;
-            }
-        }
-        files.push(path);
-    }
+    let files =
+        papar_serve::job::write_partitions(&input_cfg, partitions, &spec.out_dir).map_err(fail)?;
 
     Ok(RunSummary {
         records_in,
@@ -840,8 +814,7 @@ pub fn run_plan(spec: &PlanSpec) -> Result<PlanReport, CliError> {
                 let batch = Batch::Flat(records);
                 papar_core::stats::collect_for_plan(
                     &plan,
-                    |name| (plan.external_inputs.iter().any(|(n, _)| n == name))
-                        .then_some(&batch),
+                    |name| (plan.external_inputs.iter().any(|(n, _)| n == name)).then_some(&batch),
                     exec_options.sample_stride,
                 )
                 .map_err(|e| fail(e.to_string()))?

@@ -419,12 +419,33 @@ impl Cluster {
             }
         }
         if !found {
-            return Err(MrError::msg(format!(
-                "dataset '{name}' not found on any node"
-            )));
+            return Err(dataset_not_found(name));
         }
         frags.sort_by_key(|(ord, _)| *ord);
         Ok(frags.into_iter().map(|(_, d)| d).collect())
+    }
+
+    /// Like [`Cluster::collect`], but moves the dataset out of the
+    /// cluster: its primaries and replicas leave every node, and each
+    /// fragment's records are handed back without a copy unless some
+    /// other holder of the fragment is still alive.
+    pub fn take(&mut self, name: &str) -> Result<Vec<Dataset>> {
+        let mut frags: Vec<(u32, Arc<Dataset>)> = Vec::new();
+        let mut found = false;
+        for node in &mut self.nodes {
+            if let Some(local) = node.take(name) {
+                found = true;
+                frags.extend(local.into_iter().map(|f| (f.ordinal, f.data)));
+            }
+        }
+        if !found {
+            return Err(dataset_not_found(name));
+        }
+        frags.sort_by_key(|(ord, _)| *ord);
+        Ok(frags
+            .into_iter()
+            .map(|(_, d)| Arc::try_unwrap(d).unwrap_or_else(|shared| (*shared).clone()))
+            .collect())
     }
 
     /// Gather and concatenate a dataset into one flat-ordered `Dataset`.
@@ -832,6 +853,10 @@ fn default_threads() -> Result<usize> {
     Ok(threads)
 }
 
+fn dataset_not_found(name: &str) -> MrError {
+    MrError::msg(format!("dataset '{name}' not found on any node"))
+}
+
 /// Per-receiver `(sender, buffer)` lists produced by [`Cluster::exchange`].
 pub type Inboxes = Vec<Vec<(usize, Vec<u8>)>>;
 
@@ -911,6 +936,49 @@ mod tests {
     fn collect_missing_dataset_errors() {
         let c = Cluster::new(2);
         assert!(c.collect("ghost").is_err());
+    }
+
+    #[test]
+    fn take_matches_collect_in_ordinal_order() {
+        let mut c = Cluster::new(2);
+        let frags: Vec<Dataset> = (0..5).map(|i| flat(i * 3..i * 3 + 3)).collect();
+        c.scatter_fragments("p", frags.clone()).unwrap();
+        let collected = c.collect("p").unwrap();
+        assert_eq!(collected, frags);
+        assert_eq!(c.take("p").unwrap(), collected);
+    }
+
+    #[test]
+    fn take_moves_replicated_fragments_without_copying() {
+        let mut c = Cluster::new(3).with_replication(2);
+        c.scatter("x", flat(0..9)).unwrap();
+        assert!((0..3).all(|i| c.node(i).replica_count() == 2));
+        // `scatter` puts ordinal i on node i.
+        let stored: Vec<*const papar_record::Record> = (0..3)
+            .map(|i| {
+                let frag = c.node(i).primary("x", i as u32).unwrap();
+                frag.batch.as_flat().unwrap().as_ptr()
+            })
+            .collect();
+        let taken = c.take("x").unwrap();
+        let returned: Vec<*const papar_record::Record> = taken
+            .iter()
+            .map(|d| d.batch.as_flat().unwrap().as_ptr())
+            .collect();
+        assert_eq!(returned, stored);
+        for i in 0..3 {
+            assert!(c.node(i).fragment_ids().is_empty());
+            assert!(c.node(i).replica_ids().is_empty());
+        }
+    }
+
+    #[test]
+    fn take_missing_dataset_errors() {
+        let mut c = Cluster::new(2);
+        c.scatter("x", flat(0..4)).unwrap();
+        let err = c.take("ghost").unwrap_err();
+        assert!(matches!(&err, MrError::Msg(m) if m.contains("'ghost' not found")));
+        assert_eq!(c.collect("x").unwrap().len(), 2);
     }
 
     #[test]

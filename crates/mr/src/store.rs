@@ -143,9 +143,14 @@ impl DataStore {
     /// Remove a dataset — primary fragments and any replicas held for other
     /// nodes — returning whether a primary existed here.
     pub fn remove(&mut self, name: &str) -> bool {
-        let had = self.data.remove(name).is_some();
+        self.take(name).is_some()
+    }
+
+    /// Remove a dataset like [`DataStore::remove`], handing back its
+    /// primary fragments (unordered) if the node held any.
+    pub fn take(&mut self, name: &str) -> Option<Vec<Fragment>> {
         self.replicas.remove(name);
-        had
+        self.data.remove(name)
     }
 
     /// Names of all stored datasets (unordered).

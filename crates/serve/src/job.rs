@@ -1,7 +1,7 @@
 //! Executing one submitted job on the daemon's resident state.
 //!
 //! [`execute`] is `papar run`'s pipeline — read, check, plan, verify,
-//! lower, scatter, run, collect, write — with the expensive stages
+//! lower, scatter, run, take, write — with the expensive stages
 //! routed through the resident caches and the resident cluster. Every
 //! step calls the *same* engine functions in the *same* order with the
 //! *same* options as `crates/cli`'s one-shot path, so a served job's
@@ -20,7 +20,9 @@ use papar_record::batch::{Batch, Dataset};
 use papar_record::{wire, Record, Schema};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::Path;
+use std::fs::File;
+use std::io::Read as _;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,49 +57,98 @@ impl Resources {
 /// run` and the daemon share. Binary files may carry payload beyond the
 /// record region: `records` bounds the region explicitly; otherwise the
 /// longest whole-record prefix after `start_position` is read (the
-/// paper's "treat every 16 bytes as an entry" reading of Figure 4).
+/// paper's "treat every 16 bytes as an entry" reading of Figure 4). Only
+/// the header and the record region are read from disk.
 pub fn load_records(
     cfg: &InputConfig,
     schema: &Schema,
     path: &Path,
     records: Option<usize>,
 ) -> Result<Vec<Record>, String> {
+    let cannot_read = |e: std::io::Error| format!("cannot read {}: {e}", path.display());
     match cfg.format {
         InputFormat::Binary => {
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let file = File::open(path).map_err(cannot_read)?;
+            let len = file.metadata().map_err(cannot_read)?.len();
             let width = schema
                 .binary_record_width()
                 .ok_or_else(|| "binary schema has variable-width fields".to_string())?;
-            let start = cfg.start_position as usize;
-            if bytes.len() < start {
+            let start = cfg.start_position;
+            if len < start {
                 return Err(format!(
                     "{} is shorter than start_position {start}",
                     path.display()
                 ));
             }
+            let available = len - start;
             let region = match records {
                 Some(n) => {
-                    let need = n * width;
-                    if bytes.len() - start < need {
+                    let need = (n as u64).saturating_mul(width as u64);
+                    if available < need {
                         return Err(format!(
-                            "--records {n} wants {need} bytes after the header, file has {}",
-                            bytes.len() - start
+                            "--records {n} wants {need} bytes after the header, file has {available}"
                         ));
                     }
                     need
                 }
-                None => (bytes.len() - start) / width * width,
+                None => available / width as u64 * width as u64,
             };
-            papar_record::codec::binary::read(cfg, schema, &bytes[..start + region])
-                .map_err(|e| e.to_string())
+            let want = start + region;
+            let mut bytes = Vec::with_capacity(
+                usize::try_from(want)
+                    .map_err(|_| format!("{} is too large to read", path.display()))?,
+            );
+            file.take(want)
+                .read_to_end(&mut bytes)
+                .map_err(cannot_read)?;
+            if (bytes.len() as u64) < want {
+                return Err(format!(
+                    "{} shrank while being read: wanted {want} bytes, got {}",
+                    path.display(),
+                    bytes.len()
+                ));
+            }
+            papar_record::codec::binary::read(cfg, schema, &bytes).map_err(|e| e.to_string())
         }
         InputFormat::Text => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let text = std::fs::read_to_string(path).map_err(cannot_read)?;
             papar_record::codec::text::read(cfg, schema, &text).map_err(|e| e.to_string())
         }
     }
+}
+
+/// Write each output partition to `out_dir` (created if missing) in the
+/// input's on-disk format, as `partition_{i:04}.bin` or `.txt` in
+/// partition order — the writer `papar run` and the daemon share. Each
+/// partition is consumed and freed once its file is written.
+pub fn write_partitions(
+    input_cfg: &InputConfig,
+    partitions: Vec<Dataset>,
+    out_dir: &Path,
+) -> Result<Vec<PathBuf>, String> {
+    std::fs::create_dir_all(out_dir)
+        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
+    let mut files = Vec::with_capacity(partitions.len());
+    for (i, part) in partitions.into_iter().enumerate() {
+        let records = part.batch.flatten();
+        let (path, bytes) = match input_cfg.format {
+            InputFormat::Binary => (
+                out_dir.join(format!("partition_{i:04}.bin")),
+                papar_record::codec::binary::write(input_cfg, &part.schema, &records, None)
+                    .map_err(|e| e.to_string())?,
+            ),
+            InputFormat::Text => (
+                out_dir.join(format!("partition_{i:04}.txt")),
+                papar_record::codec::text::write(input_cfg, &part.schema, &records)
+                    .map_err(|e| e.to_string())?
+                    .into_bytes(),
+            ),
+        };
+        std::fs::write(&path, bytes)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        files.push(path);
+    }
+    Ok(files)
 }
 
 /// Hash of the raw request: everything that decides what planning would
@@ -338,42 +389,11 @@ pub fn execute(spec: &JobSpec, res: &mut Resources) -> Result<JobOutcome, String
         .map_err(|e| e.to_string())?;
     let report = runner.run(cluster).map_err(|e| e.to_string())?;
 
-    // Write each output partition in the input's on-disk format, with
-    // `papar run`'s exact file naming and codecs.
-    std::fs::create_dir_all(&spec.out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", spec.out_dir))?;
+    // Write each output partition with `papar run`'s writer.
     let partitions = cluster
-        .collect(&runner.plan().output_path)
+        .take(&runner.plan().output_path)
         .map_err(|e| e.to_string())?;
-    let out_dir = Path::new(&spec.out_dir);
-    let mut files = Vec::with_capacity(partitions.len());
-    for (i, part) in partitions.iter().enumerate() {
-        let recs = part.batch.clone().flatten();
-        let path = out_dir.join(match cached.input_cfg.format {
-            InputFormat::Binary => format!("partition_{i:04}.bin"),
-            InputFormat::Text => format!("partition_{i:04}.txt"),
-        });
-        match cached.input_cfg.format {
-            InputFormat::Binary => {
-                let bytes = papar_record::codec::binary::write(
-                    &cached.input_cfg,
-                    &part.schema,
-                    &recs,
-                    None,
-                )
-                .map_err(|e| e.to_string())?;
-                std::fs::write(&path, bytes)
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            }
-            InputFormat::Text => {
-                let text = papar_record::codec::text::write(&cached.input_cfg, &part.schema, &recs)
-                    .map_err(|e| e.to_string())?;
-                std::fs::write(&path, text)
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            }
-        }
-        files.push(path);
-    }
+    let files = write_partitions(&cached.input_cfg, partitions, Path::new(&spec.out_dir))?;
 
     // Render the report the way `papar run` prints its summary, plus
     // the cache verdicts and the profile table from this request's

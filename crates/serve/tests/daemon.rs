@@ -70,6 +70,7 @@ fn spec(dir: &Path, out: &str, threads: Option<u32>) -> JobSpec {
         threads,
         no_fuse: false,
         no_zerocopy: false,
+        adaptive: false,
     }
 }
 

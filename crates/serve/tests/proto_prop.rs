@@ -28,9 +28,10 @@ fn spec_strategy() -> impl Strategy<Value = JobSpec> {
         opt_u32(),
         any::<bool>(),
         any::<bool>(),
+        any::<bool>(),
     )
         .prop_map(
-            |(input_config, workflow, data, out_dir, nodes, args, records, threads, f, z)| {
+            |(input_config, workflow, data, out_dir, nodes, args, records, threads, f, z, a)| {
                 JobSpec {
                     input_config,
                     workflow,
@@ -42,6 +43,7 @@ fn spec_strategy() -> impl Strategy<Value = JobSpec> {
                     threads,
                     no_fuse: f,
                     no_zerocopy: z,
+                    adaptive: a,
                 }
             },
         )

@@ -191,7 +191,11 @@ fn run_sort(
     let runner = WorkflowRunner::with_options(plan, options);
     let schema = runner.plan().external_inputs[0].1.schema.clone();
     runner
-        .scatter_input(&mut cluster, "/in", Dataset::new(schema, Batch::Flat(records)))
+        .scatter_input(
+            &mut cluster,
+            "/in",
+            Dataset::new(schema, Batch::Flat(records)),
+        )
         .unwrap();
     let report = runner.run(&mut cluster).unwrap();
     (partition_bytes(&cluster, "/out"), report)
@@ -320,7 +324,10 @@ fn blast_adaptive_survives_faults_with_the_same_plan() {
         rationale_fingerprint(&base_report),
         "faults changed the plan decision"
     );
-    assert!(report.faults_injected() > 0, "chaos plan must actually fire");
+    assert!(
+        report.faults_injected() > 0,
+        "chaos plan must actually fire"
+    );
 }
 
 #[test]
