@@ -1,10 +1,8 @@
 //! Ablation experiments for the design choices Section III-D calls out:
-//! CSR/CSC shuffle compression ("up to 13% improvement"), distributed data
-//! sampling, and the ASPaS-style sort inside the sort operator.
+//! CSR/CSC shuffle compression ("up to 13% improvement") and distributed
+//! data sampling.
 
 use papar_core::exec::{ExecOptions, SamplingMode};
-use papar_sort::parallel;
-use std::time::Instant;
 
 use crate::datasets::{databases, graphs, scaled_threshold, Scale};
 use crate::report::{fmt_ratio, Table};
@@ -113,53 +111,6 @@ pub fn sampling(scale: &Scale) -> Table {
         }
     }
     t.note("distributed sampling keeps every reducer near 1.0x the mean; naive sampling overloads some reducer");
-    t
-}
-
-/// A3 — the sort operator's kernels (ASPaS analog) vs the baseline's
-/// qsort-style sort and the standard library, on the real workload: index
-/// entries keyed by sequence length.
-pub fn sort_comparison(scale: &Scale) -> Table {
-    let mut t = Table::new(
-        "Ablation A3: single-node sort of the muBLASTP index (seq_size key)",
-        &[
-            "database",
-            "entries",
-            "papar-sort samplesort",
-            "papar-sort mergesort",
-            "std stable sort",
-        ],
-    );
-    for (name, db) in databases(scale) {
-        let keys: Vec<(i32, u32)> = db
-            .index
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.seq_size, i as u32))
-            .collect();
-        type SortFn<'a> = &'a dyn Fn(&mut Vec<(i32, u32)>);
-        let time = |f: SortFn<'_>| {
-            crate::measure::avg_of(|| {
-                let mut v = keys.clone();
-                let t0 = Instant::now();
-                f(&mut v);
-                let d = t0.elapsed();
-                std::hint::black_box(&v);
-                d
-            })
-        };
-        let sample = time(&|v| parallel::par_sort_unstable_by(v, 1, |a, b| a < b));
-        let merge = time(&|v| parallel::mergesort_by(v, |a, b| a.cmp(b)));
-        let std_t = time(&|v| v.sort());
-        t.row(vec![
-            name.to_string(),
-            keys.len().to_string(),
-            crate::report::fmt_dur(sample),
-            crate::report::fmt_dur(merge),
-            crate::report::fmt_dur(std_t),
-        ]);
-    }
-    t.note("the paper credits ASPaS for PaPar's single-node edge over muBLASTP's qsort-based partitioner");
     t
 }
 

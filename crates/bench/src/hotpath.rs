@@ -1,5 +1,5 @@
 //! Zero-copy hot-path ablation: the engine's borrowed-wire-view reduce
-//! path (key-prefix packed sort, `papar_sort::packed`) measured against
+//! path (a `std` sort over packed key-prefix `u128`s) measured against
 //! `--no-zerocopy` on the paper's two workflows.
 //!
 //! Zero-copy is a pure performance transformation — every row asserts the

@@ -24,7 +24,6 @@ const EXPERIMENTS: &[&str] = &[
     "fig15b",
     "ablation-compress",
     "ablation-sampling",
-    "ablation-sort",
     "adaptive",
     "chaos",
     "checkpoint",
@@ -54,7 +53,6 @@ fn run_experiment(name: &str, scale: &Scale) -> Table {
         "fig15b" => fig15::run_b(scale),
         "ablation-compress" => ablation::compression(scale),
         "ablation-sampling" => ablation::sampling(scale),
-        "ablation-sort" => ablation::sort_comparison(scale),
         "adaptive" => adaptive::run(scale),
         "chaos" => chaos::run(scale),
         "checkpoint" => checkpoint::run(scale),

@@ -23,8 +23,7 @@ use crate::workflows::run_blast;
 pub const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
 
 /// Nodes in the simulated cluster (per-node tasks are the unit of
-/// parallelism, so scaling flattens beyond this many threads except for
-/// the parallel reduce-side sort).
+/// parallelism, so scaling flattens beyond this many threads).
 pub const NODES: usize = 4;
 
 /// Partitions produced by each run.

@@ -145,7 +145,7 @@ fn partitions(
 
 #[test]
 fn sort_distribute_partitions_are_thread_count_invariant() {
-    // Heavy key duplication stresses tie-breaking in the parallel sort;
+    // Heavy key duplication stresses tie-breaking in the reduce-side sort;
     // 4000 records split over several nodes keeps every phase threaded.
     let input: Vec<Record> = (0..4000).map(|i| rec![i, (i * 7919) % 97, 0, 0]).collect();
     let launch = args(&[

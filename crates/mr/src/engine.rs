@@ -308,9 +308,7 @@ fn decode_entry(r: &mut Reader<'_>, schema: &Schema, compress_key: Option<usize>
     }
 }
 
-/// A decoded shuffled pair with its determinism tag (`Clone` because the
-/// parallel samplesort's run partitioning copies elements).
-#[derive(Clone)]
+/// A decoded shuffled pair with its determinism tag.
 struct ShuffledPair {
     reducer: u32,
     mapper: u32,
@@ -321,9 +319,9 @@ struct ShuffledPair {
 
 /// The shuffle's reduce-side order: `(reducer, key?, mapper, seq)`.
 /// `(mapper, seq)` is unique per pair, so this is a *total* order — any
-/// correct sort, stable or not, sequential or parallel, produces the same
-/// permutation. That is what lets the engine use the unstable parallel
-/// samplesort without risking byte-level divergence.
+/// correct sort, stable or not, produces the same permutation. That is what
+/// lets the engine use `sort_unstable_by` without risking byte-level
+/// divergence.
 fn shuffle_cmp(
     sort_by_key: bool,
     descending: bool,
@@ -530,8 +528,6 @@ struct PhaseCtx<'a> {
     crashes: Vec<u32>,
     /// Straggler slowdown factor per node (persistent, read up front).
     stragglers: &'a [f64],
-    /// The whole phase's OS-thread budget.
-    threads: usize,
     /// Whether the cluster's trace sink wants task spans; when false
     /// the tasks skip all trace bookkeeping.
     tracing: bool,
@@ -586,7 +582,10 @@ struct ReduceOutcome {
 /// With more than one thread the nodes are split into contiguous chunks,
 /// one scoped worker per chunk, so slot assignment never depends on
 /// completion order; with one thread (or one node) the tasks run inline.
-/// A worker panic propagates to the caller like a sequential panic would.
+/// A worker panic propagates to the caller with its own payload, like a
+/// sequential panic would: workers are joined inside the scope and the
+/// first panic is resumed there (the scope still joins the rest first), so
+/// the scope never substitutes its generic "a scoped thread panicked".
 fn run_phase<T, F>(n: usize, threads: usize, task: F) -> Vec<Result<T>>
 where
     T: Send,
@@ -598,19 +597,25 @@ where
     }
     let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(workers);
-    let scope_result = crossbeam::thread::scope(|s| {
-        for (ci, part) in slots.chunks_mut(chunk).enumerate() {
-            let task = &task;
-            s.spawn(move |_| {
-                for (off, slot) in part.iter_mut().enumerate() {
-                    *slot = Some(task(ci * chunk + off));
-                }
-            });
+    std::thread::scope(|s| {
+        let task = &task;
+        let handles: Vec<_> = slots
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(ci, part)| {
+                s.spawn(move || {
+                    for (off, slot) in part.iter_mut().enumerate() {
+                        *slot = Some(task(ci * chunk + off));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
-    if let Err(payload) = scope_result {
-        std::panic::resume_unwind(payload);
-    }
     slots
         .into_iter()
         .map(|s| s.expect("phase worker filled every slot"))
@@ -723,7 +728,6 @@ impl Cluster {
             retry,
             crashes: self.take_phase_crashes(job_idx, TaskPhase::Map),
             stragglers: &stragglers,
-            threads,
             tracing,
             cost,
             net: net_model,
@@ -793,7 +797,6 @@ impl Cluster {
             retry,
             crashes: self.take_phase_crashes(job_idx, TaskPhase::Reduce),
             stragglers: &stragglers,
-            threads,
             tracing,
             cost,
             net: net_model,
@@ -1027,9 +1030,6 @@ impl Cluster {
             hot: HotPathStats::default(),
             trace: None,
         };
-        // Threads left over beyond one per node parallelize this node's
-        // sort — the node's core budget, like papar-sort's contract wants.
-        let sort_threads = (pc.threads / pc.n).max(1);
         let mut crashes_left = pc.crashes[node];
         let mut attempt: u32 = 1;
         // Raw (unscaled) on-CPU time across attempts, for the trace.
@@ -1059,7 +1059,7 @@ impl Cluster {
             // zero-copy path declines (`None`) on jobs exceeding its packed
             // index ranges; the owned path handles those attempts.
             let attempted = if use_zerocopy {
-                self.reduce_attempt_zerocopy(pc, node, inbox, &mut locs, &mut packed, sort_threads)?
+                self.reduce_attempt_zerocopy(pc, node, inbox, &mut locs, &mut packed)?
             } else {
                 None
             };
@@ -1070,7 +1070,7 @@ impl Cluster {
                 hot,
             } = match attempted {
                 Some(a) => a,
-                None => self.reduce_attempt_owned(pc, node, inbox, &mut pairs, sort_threads)?,
+                None => self.reduce_attempt_owned(pc, node, inbox, &mut pairs)?,
             };
             let raw = t0.elapsed();
             cpu += raw;
@@ -1191,7 +1191,6 @@ impl Cluster {
         node: usize,
         inbox: &[(usize, Vec<u8>)],
         pairs: &mut Vec<ShuffledPair>,
-        sort_threads: usize,
     ) -> Result<ReduceAttempt> {
         let job = pc.job;
         let mut hot = HotPathStats::default();
@@ -1216,11 +1215,10 @@ impl Cluster {
                 });
             }
         }
-        // Group pairs per owned reducer. `shuffle_cmp` is a total
-        // order, so the unstable parallel samplesort is deterministic.
-        papar_sort::parallel::par_sort_unstable_by(pairs, sort_threads, |a, b| {
-            shuffle_cmp(job.sort_by_key, job.descending, a, b) == Ordering::Less
-        });
+        // Group pairs per owned reducer. `shuffle_cmp` is a total order
+        // (`(mapper, seq)` is unique per pair), so the unstable sort has
+        // exactly one result.
+        pairs.sort_unstable_by(|a, b| shuffle_cmp(job.sort_by_key, job.descending, a, b));
         let pair_count = pairs.len() as u64;
         let slots = 1 + pc.extra_outputs.len();
         let mut outputs: Vec<(u32, Vec<Batch>)> = Vec::new();
@@ -1268,7 +1266,6 @@ impl Cluster {
         inbox: &[(usize, Vec<u8>)],
         locs: &mut Vec<PairLoc>,
         packed: &mut Vec<u128>,
-        sort_threads: usize,
     ) -> Result<Option<ReduceAttempt>> {
         let job = pc.job;
         let schema: &Schema = &job.map_output_schema;
@@ -1319,7 +1316,9 @@ impl Cluster {
         // What sorting moves: one PairLoc + one packed key per pair.
         hot.staged_bytes =
             (locs.len() * (std::mem::size_of::<PairLoc>() + std::mem::size_of::<u128>())) as u64;
-        papar_sort::packed::par_sort_packed(packed, sort_threads);
+        // Every key ends in its unique scan index, so the unstable sort has
+        // exactly one result.
+        packed.sort_unstable();
         if job.sort_by_key {
             fixup_prefix_ties(job.descending, inbox, locs, packed, &mut hot)?;
         }

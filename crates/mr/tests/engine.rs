@@ -598,6 +598,44 @@ fn per_node_stats_land_in_their_slots_regardless_of_completion_order() {
 }
 
 #[test]
+fn worker_panic_reaches_the_caller_with_its_own_payload() {
+    // Two workers over four nodes: node 2's reducer runs on the second
+    // worker thread, so its panic must cross the phase's thread scope.
+    const MSG: &str = "reducer on node 2 failed on purpose";
+    let mut cluster = Cluster::new(4).with_threads(2);
+    let vals: Vec<i32> = (0..40).collect();
+    cluster.scatter("in", int_dataset(&vals)).unwrap();
+    let mapper = key_by_first();
+    let reducer = FnReducer(|ctx: &papar_mr::TaskCtx, _: Vec<(Value, Entry)>| {
+        if ctx.node == 2 {
+            panic!("{MSG}");
+        }
+        Ok(Batch::Flat(Vec::new()))
+    });
+    let job = MapReduceJob {
+        name: "panics".into(),
+        inputs: vec!["in".into()],
+        output: "out".into(),
+        num_reducers: 4,
+        map_output_schema: int_schema(),
+        output_schema: int_schema(),
+        mapper: &mapper,
+        partitioner: &HashPartitioner,
+        reducer: &reducer,
+        sort_by_key: true,
+        descending: false,
+        compress_key: None,
+    };
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cluster.run_job(&job)))
+        .expect_err("the reducer panic must propagate out of run_job");
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied());
+    assert_eq!(msg, Some(MSG));
+}
+
+#[test]
 fn record_type_is_reexported() {
     // Compile-time check that the public surface exposes what operators
     // need without reaching into private modules.

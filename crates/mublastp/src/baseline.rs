@@ -12,8 +12,8 @@
 //!
 //! * The sort is a qsort-style comparison sort driven through an opaque
 //!   function pointer — the shape of the original C implementation, and
-//!   deliberately *not* the ASPaS-style kernels PaPar's sort operator uses
-//!   (the paper credits part of PaPar's single-node win to ASPaS).
+//!   deliberately *not* the standard-library sort PaPar's engine uses (the
+//!   paper credits part of PaPar's single-node win to its ASPaS sort).
 //! * Intra-node threading is modeled, not executed: the host may have
 //!   fewer cores than the paper's 16, so the run measures its serial and
 //!   parallelizable phases separately and [`BaselineRun::modeled_time`]

@@ -12,7 +12,6 @@
 //!   packed format and CSR/CSC compression.
 //! * [`mr`] — the simulated message-passing cluster and MapReduce engine
 //!   standing in for MR-MPI.
-//! * [`sort`] — ASPaS-style sorting kernels used inside the sort operator.
 //! * [`core`] — the framework itself: operators, stride-permutation
 //!   distribution policies, the workflow planner and the executor.
 //! * [`check`] — the static workflow analyzer behind `papar check`:
@@ -30,7 +29,6 @@ pub use papar_config as config;
 pub use papar_core as core;
 pub use papar_mr as mr;
 pub use papar_record as record;
-pub use papar_sort as sort;
 pub use papar_trace as trace;
 
 pub use mublastp;

@@ -123,28 +123,6 @@ proptest! {
         prop_assert_eq!(got, packed);
     }
 
-    /// The ASPaS-style sorts agree with the standard library on arbitrary
-    /// inputs.
-    #[test]
-    fn papar_sort_matches_std(mut v in prop::collection::vec(any::<u32>(), 0..2000)) {
-        let mut expect = v.clone();
-        expect.sort();
-        let mut stable = v.clone();
-        papar::sort::parallel::mergesort_by(&mut stable, |a, b| a.cmp(b));
-        prop_assert_eq!(&stable, &expect);
-        papar::sort::parallel::quicksort_by(&mut v, &|a, b| a < b);
-        prop_assert_eq!(&v, &expect);
-    }
-
-    /// Sorting networks sort every input up to the maximum size.
-    #[test]
-    fn sorting_networks_sort(mut v in prop::collection::vec(any::<i64>(), 0..32)) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        papar::sort::network::sort_small(&mut v, |a, b| a < b);
-        prop_assert_eq!(v, expect);
-    }
-
     /// Sampler boundaries are monotone and the partitioner covers the
     /// reducer range.
     #[test]
